@@ -3,6 +3,7 @@ package san
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ctsan/internal/des"
@@ -10,14 +11,33 @@ import (
 )
 
 // Sim executes one stochastic realization of a SAN model. Create it with
-// NewSim, then call Run (or Step). The same Model may back many Sims.
+// NewSim, then call Run. The same Model may back many Sims.
 //
-// The simulator re-evaluates an activity's enabling only when a place it
-// depends on (default input arcs plus declared gate Reads) changes marking.
-// This makes event cost proportional to the local fan-out of the firing
-// rather than to model size — essential for the paper's consensus model,
-// whose joined submodels have hundreds of activities. SetFullRescan
-// disables the optimization for differential testing.
+// The work per completion tracks what the completion changed, not the
+// model's size — essential for the paper's consensus model, whose joined
+// submodels have hundreds of activities, most of them waiting on a few
+// shared resource places. Two enabling paths share that property:
+//
+//   - Watched inputs, for instantaneous activities without gates (the
+//     seize steps of every resource). Such an activity is enabled exactly
+//     when all its input places are marked. While it is not in the
+//     enabled set, it waits on one of its input places that is empty;
+//     only that place becoming marked wakes it, to wait on its next empty
+//     input or to join the set. A place becoming empty wakes nobody: an
+//     activity in the set whose input emptied is found when the next
+//     activity to complete is chosen, and goes back to waiting. So a busy
+//     resource place costs nothing per write, and a freed one costs one
+//     check per activity queued on it.
+//   - Declared dependencies, for timed and gated activities: an activity
+//     is re-evaluated only when a place it depends on (default input arcs
+//     plus declared gate Reads) changes marking. Timed activities are
+//     re-armed in the order they were touched, which fixes the order of
+//     their delay draws from the random stream.
+//
+// Enabled instantaneous activities live in a dense set; the next one to
+// complete is the maximum of (priority, earliest FIFO arrival, earliest
+// creation), so the set needs no ordering of its own. SetFullRescan
+// re-evaluates every activity instead, as a reference for tests.
 type Sim struct {
 	model   *Model
 	marking Marking
@@ -28,18 +48,43 @@ type Sim struct {
 
 	armed   []des.Handle // per activity; meaningful when isArmed
 	isArmed []bool
-	fireFns []func() // per activity; reused across armings and Resets
+	fireFns []func() // per timed activity; reused across armings and Resets
 
-	deps       [][]int // place idx -> dependent activity idxs
+	deps       []int // timed or gated activities by place: deps[depStart[p]:depStart[p+1]]
+	depStart   []int
 	pending    []int
 	inPending  []bool
-	instON     []bool // instantaneous activity currently enabled
-	numInstON  int
 	timedTouch []int // timed activities to (re)examine at the end of settle
 	inTouch    []bool
 
+	// Activities on the watched-input path that are not in instOn wait
+	// in one singly linked list per place.
+	watchHead []int // place idx -> first waiting activity, or -1
+	watchNext []int // activity idx -> next activity waiting on the same place, or -1
+
+	instOn  []int // enabled instantaneous activities, unordered
+	instPos []int // activity idx -> position in instOn, or -1
+
+	init      simState // the state NewSim starts from; Reset copies it back
+	written   []int    // places written since NewSim or Reset, for Reset to restore
+	isWritten []bool
+	// fromStart is set until the first settle, which re-arms in creation
+	// order: from the initial marking, every timed activity counts as
+	// touched.
+	fromStart bool
+
 	fullRescan bool
 	instLimit  int
+}
+
+// simState is the part of a Sim's initial state that Reset restores by
+// copying rather than recomputing.
+type simState struct {
+	marking    []int
+	watchHead  []int
+	watchNext  []int
+	instOn     []int
+	timedTouch []int // timed activities enabled in the initial marking
 }
 
 // NewSim prepares a simulation of the model with the given random stream.
@@ -50,60 +95,102 @@ func NewSim(m *Model, r *rng.Stream) *Sim {
 	if err := root.Validate(); err != nil {
 		panic(err)
 	}
-	nA := len(root.activities)
+	nA, nP := len(root.activities), len(root.places)
 	s := &Sim{
 		model:     root,
 		rand:      r,
 		armed:     make([]des.Handle, nA),
 		isArmed:   make([]bool, nA),
+		fireFns:   make([]func(), nA),
 		inPending: make([]bool, nA),
-		instON:    make([]bool, nA),
 		inTouch:   make([]bool, nA),
+		watchHead: make([]int, nP),
+		watchNext: make([]int, nA),
+		instPos:   make([]int, nA),
+		isWritten: make([]bool, nP),
 		instLimit: 1_000_000,
 	}
 	s.marking = Marking{
-		m:    make([]int, len(root.places)),
-		arr:  make([][]float64, len(root.places)),
-		head: make([]int, len(root.places)),
+		m:    make([]int, nP),
+		arr:  make([][]float64, nP),
+		head: make([]int, nP),
 	}
 	for _, p := range root.places {
 		s.marking.m[p.idx] = p.initial
+		s.watchHead[p.idx] = -1
 		for k := 0; k < p.initial; k++ {
 			s.marking.arr[p.idx] = append(s.marking.arr[p.idx], 0)
 		}
 	}
-	// Build the place -> activities dependency index.
-	s.deps = make([][]int, len(root.places))
+	s.deps, s.depStart = dependents(root)
 	for _, a := range root.activities {
-		seen := make(map[int]bool)
-		add := func(p *Place) {
-			if !seen[p.idx] {
-				seen[p.idx] = true
-				s.deps[p.idx] = append(s.deps[p.idx], a.idx)
-			}
+		s.instPos[a.idx] = -1
+		if a.watched() {
+			s.wait(a)
+			continue
 		}
-		for _, p := range a.inputs {
-			add(p)
+		if !a.timed {
+			s.setInst(a.idx, a.enabled(&s.marking))
+			continue
 		}
-		for _, g := range a.gates {
-			for _, p := range g.Reads {
-				add(p)
-			}
+		if a.enabled(&s.marking) {
+			s.touch(a.idx)
 		}
+		// One completion closure per timed activity, allocated once:
+		// arming an activity must not allocate in the steady state.
+		s.fireFns[a.idx] = func() { s.fire(a) }
 	}
-	// One completion closure per activity, allocated once: arming an
-	// activity must not allocate in the steady state.
-	s.fireFns = make([]func(), nA)
-	for i, a := range root.activities {
-		a := a
-		s.fireFns[i] = func() { s.fire(a) }
-	}
-	// Every activity starts pending.
-	for i := 0; i < nA; i++ {
-		s.pending = append(s.pending, i)
-		s.inPending[i] = true
+	s.fromStart = true
+	s.init = simState{
+		marking:    append([]int(nil), s.marking.m...),
+		watchHead:  append([]int(nil), s.watchHead...),
+		watchNext:  append([]int(nil), s.watchNext...),
+		instOn:     append([]int(nil), s.instOn...),
+		timedTouch: append([]int(nil), s.timedTouch...),
 	}
 	return s
+}
+
+// dependents indexes, for every place, the activities outside the watched
+// path that depend on it (input arcs and gate Reads), each once and in
+// creation order. Place p's are deps[start[p]:start[p+1]].
+func dependents(root *Model) (deps, start []int) {
+	nP := len(root.places)
+	stamp := make([]int, nP) // stamp[p] == a.idx+1: p already listed for a
+	visit := func(fn func(p, a int)) {
+		clear(stamp)
+		for _, a := range root.activities {
+			if a.watched() {
+				continue
+			}
+			see := func(p *Place) {
+				if stamp[p.idx] != a.idx+1 {
+					stamp[p.idx] = a.idx + 1
+					fn(p.idx, a.idx)
+				}
+			}
+			for _, p := range a.inputs {
+				see(p)
+			}
+			for _, g := range a.gates {
+				for _, p := range g.Reads {
+					see(p)
+				}
+			}
+		}
+	}
+	start = make([]int, nP+1)
+	visit(func(p, _ int) { start[p+1]++ })
+	for p := 0; p < nP; p++ {
+		start[p+1] += start[p]
+	}
+	deps = make([]int, start[nP])
+	next := append([]int(nil), start[:nP]...)
+	visit(func(p, a int) {
+		deps[next[p]] = a
+		next[p]++
+	})
+	return deps, start
 }
 
 // Reset returns the simulator to the model's initial marking with a fresh
@@ -117,32 +204,53 @@ func (s *Sim) Reset(r *rng.Stream) {
 	s.fired = 0
 	s.sim.Reset()
 	mk := &s.marking
-	for _, p := range s.model.places {
-		i := p.idx
-		mk.m[i] = p.initial
+	s.noteWritten() // writes made after Run returned
+	for _, i := range s.written {
+		s.isWritten[i] = false
+		n := s.init.marking[i]
+		mk.m[i] = n
 		mk.arr[i] = mk.arr[i][:0]
 		mk.head[i] = 0
-		for k := 0; k < p.initial; k++ {
+		for k := 0; k < n; k++ {
 			mk.arr[i] = append(mk.arr[i], 0)
 		}
 	}
+	s.written = s.written[:0]
 	mk.dirty = mk.dirty[:0]
 	mk.now = 0
-	s.pending = s.pending[:0]
-	for i := range s.model.activities {
-		s.isArmed[i] = false
-		s.instON[i] = false
-		s.inTouch[i] = false
-		s.inPending[i] = true
-		s.pending = append(s.pending, i)
+	copy(s.watchHead, s.init.watchHead)
+	copy(s.watchNext, s.init.watchNext)
+	clear(s.isArmed)
+	// Empty after a completed Run, but not after NewSim or a Run cut
+	// short by a panic.
+	for _, ai := range s.pending {
+		s.inPending[ai] = false
 	}
-	s.numInstON = 0
+	s.pending = s.pending[:0]
+	for _, ai := range s.timedTouch {
+		s.inTouch[ai] = false
+	}
 	s.timedTouch = s.timedTouch[:0]
+	for _, ai := range s.init.timedTouch {
+		s.touch(ai)
+	}
+	for _, ai := range s.instOn {
+		s.instPos[ai] = -1
+	}
+	s.instOn = s.instOn[:0]
+	for _, ai := range s.init.instOn {
+		s.setInst(ai, true)
+	}
+	s.fromStart = true
 }
 
-// SetFullRescan forces re-evaluation of every activity after every firing,
-// ignoring declared dependencies. Slow; used to validate gate Reads
-// declarations in tests.
+// SetFullRescan forces re-evaluation of every activity after every
+// completion, on top of the incremental paths: every instantaneous
+// activity before each selection, and every timed activity, in creation
+// order after the touched ones, before re-arming. With correct gate Reads
+// declarations the trajectory is identical to the incremental one, so
+// tests use it as the reference. Slow. The reference keeps no waiting
+// lists, so switch modes only before Run or right after Reset.
 func (s *Sim) SetFullRescan(on bool) { s.fullRescan = on }
 
 // Marking exposes the live marking (for reward observation between events).
@@ -167,17 +275,66 @@ func (s *Sim) enqueue(ai int) {
 	}
 }
 
-// drainDirty propagates marking writes into the pending set.
-func (s *Sim) drainDirty() {
-	if s.fullRescan {
-		s.marking.dirty = s.marking.dirty[:0]
-		for i := range s.model.activities {
-			s.enqueue(i)
-		}
-		return
+// setInst adds instantaneous activity ai to the enabled set or removes it.
+func (s *Sim) setInst(ai int, on bool) {
+	pos := s.instPos[ai]
+	switch {
+	case on && pos < 0:
+		s.instPos[ai] = len(s.instOn)
+		s.instOn = append(s.instOn, ai)
+	case !on && pos >= 0:
+		last := s.instOn[len(s.instOn)-1]
+		s.instOn[pos] = last
+		s.instPos[last] = pos
+		s.instOn = s.instOn[:len(s.instOn)-1]
+		s.instPos[ai] = -1
 	}
+}
+
+// watched reports whether a is on the watched-input path: instantaneous
+// and enabled exactly when every input place is marked.
+func (a *Activity) watched() bool { return !a.timed && len(a.gates) == 0 }
+
+// wait parks watched activity a on its first empty input place, or adds
+// it to the enabled set if it has none.
+func (s *Sim) wait(a *Activity) {
+	for _, p := range a.inputs {
+		if s.marking.m[p.idx] == 0 {
+			s.watchNext[a.idx] = s.watchHead[p.idx]
+			s.watchHead[p.idx] = a.idx
+			return
+		}
+	}
+	s.setInst(a.idx, true)
+}
+
+// noteWritten records the places in the write log for Reset.
+func (s *Sim) noteWritten() {
 	for _, pi := range s.marking.dirty {
-		for _, ai := range s.deps[pi] {
+		if !s.isWritten[pi] {
+			s.isWritten[pi] = true
+			s.written = append(s.written, pi)
+		}
+	}
+}
+
+// drainDirty propagates marking writes: activities waiting on a place
+// that is now marked move on, and dependents are queued for
+// re-evaluation in write order.
+func (s *Sim) drainDirty() {
+	s.noteWritten()
+	for _, pi := range s.marking.dirty {
+		// The full-rescan reference does not use the waiting lists.
+		if s.marking.m[pi] > 0 && !s.fullRescan {
+			ai := s.watchHead[pi]
+			s.watchHead[pi] = -1
+			for ai >= 0 {
+				next := s.watchNext[ai]
+				s.wait(s.model.activities[ai])
+				ai = next
+			}
+		}
+		for _, ai := range s.deps[s.depStart[pi]:s.depStart[pi+1]] {
 			s.enqueue(ai)
 		}
 	}
@@ -191,28 +348,71 @@ func (s *Sim) refreshPending() {
 		s.inPending[ai] = false
 		a := s.model.activities[ai]
 		if a.timed {
-			if !s.inTouch[ai] {
-				s.inTouch[ai] = true
-				s.timedTouch = append(s.timedTouch, ai)
-			}
+			s.touch(ai)
 			continue
 		}
-		on := a.enabled(&s.marking)
-		if on != s.instON[ai] {
-			s.instON[ai] = on
-			if on {
-				s.numInstON++
-			} else {
-				s.numInstON--
+		s.setInst(ai, a.enabled(&s.marking))
+	}
+	s.pending = s.pending[:0]
+	if s.fullRescan {
+		for i, a := range s.model.activities {
+			if !a.timed {
+				s.setInst(i, a.enabled(&s.marking))
 			}
 		}
 	}
-	s.pending = s.pending[:0]
 }
 
-// settle completes enabled instantaneous activities (highest priority
-// first, creation order as tie-break) until none is enabled, then re-arms
-// timed activities to match the final marking.
+// touch queues timed activity ai for re-arming at the end of settle.
+func (s *Sim) touch(ai int) {
+	if !s.inTouch[ai] {
+		s.inTouch[ai] = true
+		s.timedTouch = append(s.timedTouch, ai)
+	}
+}
+
+// nextInst returns the enabled instantaneous activity to complete next:
+// highest priority, then oldest token in its FIFO queue (activities
+// without one come first), then earliest created. It returns nil when
+// none is enabled. Watched activities whose inputs emptied since they
+// joined the set go back to waiting here.
+func (s *Sim) nextInst() *Activity {
+	var best *Activity
+	bestKey := 0.0
+	for i := 0; i < len(s.instOn); {
+		ai := s.instOn[i]
+		a := s.model.activities[ai]
+		if a.watched() && !s.allMarked(a) {
+			s.setInst(ai, false) // moves the last entry to i
+			s.wait(a)
+			continue
+		}
+		i++
+		key := math.Inf(-1)
+		if a.fifoKey != nil {
+			key = s.marking.OldestArrival(a.fifoKey)
+		}
+		if best == nil || a.priority > best.priority ||
+			a.priority == best.priority && (key < bestKey || key == bestKey && a.idx < best.idx) {
+			best = a
+			bestKey = key
+		}
+	}
+	return best
+}
+
+// allMarked reports whether every input place of a holds a token.
+func (s *Sim) allMarked(a *Activity) bool {
+	for _, p := range a.inputs {
+		if s.marking.m[p.idx] == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// settle completes enabled instantaneous activities until none is
+// enabled, then re-arms timed activities to match the final marking.
 func (s *Sim) settle() {
 	s.drainDirty()
 	for iter := 0; ; iter++ {
@@ -220,32 +420,29 @@ func (s *Sim) settle() {
 			panic(fmt.Sprintf("san: instantaneous activity loop in model %q", s.model.name))
 		}
 		s.refreshPending()
-		if s.numInstON == 0 {
+		best := s.nextInst()
+		if best == nil {
 			break
 		}
-		var best *Activity
-		bestKey := 0.0
-		for ai, on := range s.instON {
-			if !on {
-				continue
-			}
-			a := s.model.activities[ai]
-			key := math.Inf(-1)
-			if a.fifoKey != nil {
-				key = s.marking.OldestArrival(a.fifoKey)
-			}
-			if best == nil || a.priority > best.priority ||
-				(a.priority == best.priority && key < bestKey) {
-				best = a
-				bestKey = key
-			}
-		}
-		if best == nil {
-			break // stale count; repaired by refresh above
-		}
 		s.complete(best)
-		s.enqueue(best.idx)
 		s.drainDirty()
+	}
+	if s.fullRescan {
+		// After the touched ones, in creation order: with correct
+		// dependency declarations these are no-ops, so the arming order
+		// (and hence every delay draw) matches the incremental path.
+		for i, a := range s.model.activities {
+			if a.timed {
+				s.touch(i)
+			}
+		}
+	}
+	if s.fromStart {
+		// Untouched timed activities that were disabled initially still
+		// are, so re-arming the touched ones in creation order is
+		// re-arming every one of them.
+		slices.Sort(s.timedTouch)
+		s.fromStart = false
 	}
 	// Re-arm touched timed activities against the stable marking.
 	for _, ai := range s.timedTouch {

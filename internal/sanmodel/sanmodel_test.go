@@ -1,7 +1,7 @@
 package sanmodel
 
 import (
-	"math"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -189,32 +189,100 @@ func TestRoundsGuard(t *testing.T) {
 	// The run must terminate either way — reaching here is the assertion.
 }
 
+// trajectory is everything observable about one replica: the stop time,
+// every completion with its chosen case, and the final marking.
+type trajectory struct {
+	at    float64
+	fires []string
+	final []int
+}
+
+func record(t *testing.T, sim *san.Sim, model *Model) trajectory {
+	t.Helper()
+	var tr trajectory
+	sim.OnFire(func(a *san.Activity, c int) {
+		tr.fires = append(tr.fires, fmt.Sprintf("%v %s/%d", sim.Now(), a.Name(), c))
+	})
+	at, stopped := sim.Run(1e6, model.Done)
+	if !stopped {
+		t.Fatal("did not stop")
+	}
+	tr.at = at
+	for _, p := range model.SAN.Places() {
+		tr.final = append(tr.final, sim.Marking().Get(p))
+	}
+	return tr
+}
+
+// sameTrajectory reports the first difference between two trajectories.
+func sameTrajectory(t *testing.T, what string, places []*san.Place, got, want trajectory) {
+	t.Helper()
+	for i := 0; i < len(got.fires) && i < len(want.fires); i++ {
+		if got.fires[i] != want.fires[i] {
+			t.Fatalf("%s: completion %d is %q, want %q", what, i, got.fires[i], want.fires[i])
+		}
+	}
+	if len(got.fires) != len(want.fires) || got.at != want.at {
+		t.Fatalf("%s: %d completions stopping at %v, want %d at %v", what, len(got.fires), got.at, len(want.fires), want.at)
+	}
+	for i := range want.final {
+		if got.final[i] != want.final[i] {
+			t.Fatalf("%s: final marking of %s is %d, want %d", what, places[i].Name(), got.final[i], want.final[i])
+		}
+	}
+}
+
 // TestDepTrackingMatchesFullRescan is the differential test for the
-// dependency-tracked simulator: the consensus model (hundreds of gated
-// activities) must behave identically with and without the optimization.
+// incremental simulator: on the consensus model (hundreds of gated and
+// resource-sharing activities) it must produce exactly the completion
+// sequence and final marking of the full-rescan reference, at n = 3/5/7,
+// with and without crashes, and a Reset simulator must replay a fresh one.
 func TestDepTrackingMatchesFullRescan(t *testing.T) {
-	p := DefaultParams(5)
-	p.FD = FDModel{TMR: 15, TM: 2, Kind: FDExponential}
-	model, err := Build(p)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		p    func() Params
+	}{
+		{"n3 fd", func() Params {
+			p := DefaultParams(3)
+			p.FD = FDModel{TMR: 15, TM: 2, Kind: FDDeterministic}
+			return p
+		}},
+		{"n5 fd", func() Params {
+			p := DefaultParams(5)
+			p.FD = FDModel{TMR: 15, TM: 2, Kind: FDExponential}
+			return p
+		}},
+		{"n7 crashed", func() Params {
+			p := DefaultParams(7)
+			p.Crashed = []int{1}
+			return p
+		}},
+		{"n5 crashed unicast fd", func() Params {
+			p := DefaultParams(5)
+			p.Crashed = []int{2}
+			p.UnicastBroadcast = true
+			p.FD = FDModel{TMR: 20, TM: 2, Kind: FDExponential}
+			return p
+		}},
 	}
-	run := func(full bool, seed uint64) (float64, uint64) {
-		sim := san.NewSim(model.SAN, rng.New(seed))
-		sim.SetFullRescan(full)
-		at, stopped := sim.Run(1e6, model.Done)
-		if !stopped {
-			t.Fatal("did not stop")
-		}
-		return at, sim.Fired()
-	}
-	for seed := uint64(1); seed <= 25; seed++ {
-		t1, f1 := run(false, seed)
-		t2, f2 := run(true, seed)
-		if math.Abs(t1-t2) > 1e-12 || f1 != f2 {
-			t.Fatalf("seed %d: optimized (%v, %d firings) != full rescan (%v, %d firings): missing gate Reads declaration",
-				seed, t1, f1, t2, f2)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			model, err := Build(c.p())
+			if err != nil {
+				t.Fatal(err)
+			}
+			places := model.SAN.Places()
+			reused := san.NewSim(model.SAN, rng.New(0))
+			for seed := uint64(1); seed <= 8; seed++ {
+				full := san.NewSim(model.SAN, rng.New(seed))
+				full.SetFullRescan(true)
+				want := record(t, full, model)
+				fresh := record(t, san.NewSim(model.SAN, rng.New(seed)), model)
+				sameTrajectory(t, fmt.Sprintf("seed %d: incremental vs full rescan (missing gate Reads declaration?)", seed), places, fresh, want)
+				reused.Reset(rng.New(seed))
+				sameTrajectory(t, fmt.Sprintf("seed %d: Reset vs NewSim", seed), places, record(t, reused, model), want)
+			}
+		})
 	}
 }
 

@@ -74,9 +74,13 @@ type FleetStatus struct {
 	WorkersBusy int `json:"workers_busy"`
 }
 
-// leaseMgr is the per-study lease ledger. All mutation happens under mu;
-// methods return the work to do outside the lock (hub lines to emit,
-// cache entries to feed) so HTTP handlers never hold it across I/O.
+// leaseMgr is the per-study lease ledger. All mutation happens under mu,
+// and so do appends to the study's hub: results reach the stream in
+// flush order, and every line is there before done is closed. Methods
+// return the remaining work to do outside the lock (cache entries to
+// feed, lookup counts) so HTTP handlers never hold it across I/O. Lock
+// order: the study's lock (its status snapshot reads stats), then mu,
+// then the hub's lock.
 type leaseMgr struct {
 	studyID string
 	name    string
@@ -85,6 +89,7 @@ type leaseMgr struct {
 	ttl     time.Duration
 	target  time.Duration
 	maxSize int
+	hub     *hub // the study's result stream, appended under mu
 
 	mu        sync.Mutex
 	pending   shard.RangeSet
@@ -106,7 +111,7 @@ type leaseMgr struct {
 	done chan struct{} // closed when every point has a verified record
 }
 
-func newLeaseMgr(studyID string, spec *campaign.Study, points []campaign.FrozenPoint, ttl, target time.Duration) *leaseMgr {
+func newLeaseMgr(studyID string, spec *campaign.Study, points []campaign.FrozenPoint, ttl, target time.Duration, out *hub) *leaseMgr {
 	if ttl <= 0 {
 		ttl = 15 * time.Second
 	}
@@ -121,6 +126,7 @@ func newLeaseMgr(studyID string, spec *campaign.Study, points []campaign.FrozenP
 		ttl:       ttl,
 		target:    target,
 		maxSize:   1024,
+		hub:       out,
 		leases:    map[string]*fleetLease{},
 		records:   make([]*campaign.ShardRecord, len(points)),
 		lines:     make([][]byte, len(points)),
@@ -251,18 +257,19 @@ func (m *leaseMgr) renew(now time.Time, id string) (deadline time.Time, ok bool)
 	return l.deadline, true
 }
 
-// ingestResult is what one verified upload produced, to be applied
-// outside the manager lock: emit streams the newly contiguous prefix of
-// result lines to the study's hub, feed carries (hash, encoded record)
-// pairs for the content-addressed cache.
+// ingestResult is what one verified upload (or the cache pre-serve)
+// produced, to be applied outside the manager lock: feed carries (hash,
+// encoded record) pairs for the content-addressed cache, hits and misses
+// the cache lookups of a pre-serve.
 type ingestResult struct {
 	accepted int
 	rejected int
 	dup      int
 	flushed  int  // in-order results streamed so far (progress)
 	done     bool // every point now has a verified record
-	emit     [][]byte
 	feed     []cacheFeed
+	hits     int64
+	misses   int64
 }
 
 type cacheFeed struct {
@@ -330,7 +337,7 @@ func (m *leaseMgr) complete(now time.Time, leaseID string, lineList [][]byte) in
 		}
 	}
 	m.expireLocked(now)
-	out.emit = m.flushLocked()
+	m.flushLocked()
 	out.flushed = m.flushed
 	out.done = m.remaining == 0
 	if out.done && !m.canceled {
@@ -350,8 +357,9 @@ func (m *leaseMgr) complete(now time.Time, leaseID string, lineList [][]byte) in
 // cached statistics are content-addressed; identity (study name, point
 // label, index) is rewritten to this study's values exactly as the
 // in-process cache hit path does, so the streamed bytes stay
-// byte-identical to a cold run.
-func (m *leaseMgr) preserve(cache *Cache, countLookup func(hit bool)) ingestResult {
+// byte-identical to a cold run. Lookups are counted in the result, for
+// the caller to apply to the study outside the ledger lock.
+func (m *leaseMgr) preserve(cache *Cache) ingestResult {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := ingestResult{}
@@ -374,11 +382,13 @@ func (m *leaseMgr) preserve(cache *Cache, countLookup func(hit bool)) ingestResu
 				}
 			}
 		}
-		if countLookup != nil {
-			countLookup(hit)
+		if hit {
+			out.hits++
+		} else {
+			out.misses++
 		}
 	}
-	out.emit = m.flushLocked()
+	m.flushLocked()
 	out.flushed = m.flushed
 	out.done = m.remaining == 0
 	if out.done {
@@ -393,17 +403,16 @@ func (m *leaseMgr) preserve(cache *Cache, countLookup func(hit bool)) ingestResu
 
 // flushLocked advances the in-order streaming cursor: the determinism
 // rule for lease folding. Records may arrive in any order from any
-// worker, but results are released to the hub strictly in grid-index
+// worker, but results are appended to the hub strictly in grid-index
 // order, as the contiguous completed prefix grows — the same fold order
 // as the in-process serial path and the sharded merge, so the streamed
-// JSONL is byte-identical to both.
-func (m *leaseMgr) flushLocked() [][]byte {
-	var emit [][]byte
+// JSONL is byte-identical to both. Appending under the ledger lock keeps
+// concurrent uploads from interleaving their lines.
+func (m *leaseMgr) flushLocked() {
 	for m.flushed < len(m.records) && m.records[m.flushed] != nil {
-		emit = append(emit, m.records[m.flushed].Result)
+		m.hub.append(m.records[m.flushed].Result)
 		m.flushed++
 	}
-	return emit
 }
 
 // tick runs periodic maintenance from the dispatch loop: expiry without
@@ -567,17 +576,15 @@ func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyIngest performs an ingest's side effects outside the manager
-// lock: feed the content-addressed cache, stream the newly contiguous
-// result prefix, and advance progress.
+// lock: feed the content-addressed cache, count cache lookups, and
+// advance progress. (The ledger streamed the results itself.)
 func (s *Server) applyIngest(st *study, out ingestResult, feedCache bool) {
 	if feedCache && s.cache != nil {
 		for _, f := range out.feed {
 			s.cache.PutEncoded(f.hash, f.line)
 		}
 	}
-	for _, line := range out.emit {
-		st.hub.append(line)
-	}
+	st.countLookups(out.hits, out.misses)
 	st.setProgress(out.flushed)
 }
 
@@ -591,7 +598,7 @@ func (s *Server) runFleetStudy(st *study) {
 	m := st.fleet
 	obs.StudiesActive.Add(1)
 	defer obs.StudiesActive.Add(-1)
-	out := m.preserve(s.cache, st.countLookup)
+	out := m.preserve(s.cache)
 	st.setRunning() // leases are granted only from "running"
 	s.applyIngest(st, out, false)
 	s.cfg.Logf("study %s (%q): fleet dispatch of %d points (%d cache-served)", st.id, st.spec.Name, len(st.points), out.accepted)
@@ -600,6 +607,7 @@ func (s *Server) runFleetStudy(st *study) {
 	for {
 		select {
 		case <-m.done:
+			st.setProgress(len(st.points))
 			st.setFinished(nil)
 			final := st.snapshot()
 			st.hub.finish("")

@@ -6,7 +6,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -297,7 +299,8 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	}
 
 	now := time.Now()
-	m := newLeaseMgr("s000001", frozen, points, time.Minute, time.Second)
+	h := newHub()
+	m := newLeaseMgr("s000001", frozen, points, time.Minute, time.Second, h)
 	g, _, done := m.grant(now, "w")
 	if done || g == nil || g.Start != 0 || g.End != 1 {
 		t.Fatalf("first grant = %+v, done=%v; want single-point probe 0:1", g, done)
@@ -305,7 +308,7 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	// Complete the probe; the EWMA calibrates and the next lease covers
 	// more than one point (the elapsed time is ~0, so size clamps up).
 	out := m.complete(now.Add(time.Millisecond), g.Lease, recs[:1])
-	if out.accepted != 1 || out.flushed != 1 || len(out.emit) != 1 {
+	if out.accepted != 1 || out.flushed != 1 || h.count() != 1 {
 		t.Fatalf("probe completion: %+v", out)
 	}
 	g2, _, _ := m.grant(now, "w")
@@ -315,7 +318,7 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	// Answer it with only the LAST record: index 1 is a hole — requeued —
 	// and index 2 must not stream yet (in-order fold).
 	out = m.complete(now.Add(2*time.Millisecond), g2.Lease, recs[2:3])
-	if out.accepted != 1 || out.done || len(out.emit) != 0 || out.flushed != 1 {
+	if out.accepted != 1 || out.done || h.count() != 1 || out.flushed != 1 {
 		t.Fatalf("partial completion: %+v", out)
 	}
 	if st := m.stats(); st.Pending != 1 || st.Requeued != 1 {
@@ -328,7 +331,7 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 		t.Fatalf("re-lease = %+v, want 1:2", g3)
 	}
 	out = m.complete(now.Add(3*time.Millisecond), g3.Lease, [][]byte{recs[1], recs[2]})
-	if out.accepted != 1 || out.dup != 1 || !out.done || len(out.emit) != 2 {
+	if out.accepted != 1 || out.dup != 1 || !out.done || h.count() != 3 {
 		t.Fatalf("hole completion: %+v", out)
 	}
 	select {
@@ -338,11 +341,7 @@ func TestFleetPartialUploadRequeuesHoles(t *testing.T) {
 	}
 	// Reassemble the stream: it must be the records' Result lines in grid
 	// order.
-	var stream [][]byte
-	stream = append(stream, m.records[0].Result)
-	for i := range out.emit {
-		stream = append(stream, out.emit[i])
-	}
+	stream, _, _, _ := h.snapshot(0)
 	for i, rec := range recs {
 		dec, err := campaign.DecodeShardRecord(rec)
 		if err != nil {
@@ -496,5 +495,229 @@ func TestServerCacheSpillAcrossRestart(t *testing.T) {
 	final := h2.waitTerminal(t, warm.ID)
 	if final.CacheHits != int64(points) || final.CacheMisses != 0 {
 		t.Errorf("post-restart study: hits=%d misses=%d, want %d/0", final.CacheHits, final.CacheMisses, points)
+	}
+}
+
+// wideStudy is a fleet study of many tiny points: enough leases to race
+// uploads against each other, and a cache pre-serve long enough to race
+// status reads against.
+func wideStudy() *campaign.Study {
+	s := campaign.NewStudy("svc-wide")
+	for i := 0; i < 24; i++ {
+		s.Add(campaign.SANPoint{N: 3 + 2*(i%2), Replicas: 4})
+	}
+	return s
+}
+
+// wideReference is the in-process JSONL of wideStudy at seed 1.
+func wideReference(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := campaign.Run(context.Background(), wideStudy(), campaign.WithSeed(1), campaign.WithWorkers(1),
+		campaign.WithSink(campaign.NewJSONLWriter(&buf))); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestFleetCacheServedStatusNoDeadlock is the regression test for a lock
+// inversion between the lease ledger and the study: pre-serving a
+// cache-resident fleet study counts lookups into the study while status
+// reads take the ledger's stats, so a fleet submission whose status is
+// read as it starts (the submit response itself reads it) could hang the
+// service. Fully cache-served fleet studies run while status is polled
+// concurrently; every one must finish with the reference bytes.
+func TestFleetCacheServedStatusNoDeadlock(t *testing.T) {
+	spec, err := campaign.EncodeStudy(wideStudy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wideReference(t)
+	// Not newTestServer: a deadlocked service never shuts down, so it is
+	// only shut down after the runs finished.
+	srv := New(Config{Workers: 1, MaxActive: 1, QueueDepth: 8, CacheBytes: 32 << 20})
+	h := &testServer{s: srv, ts: httptest.NewServer(srv.Handler())}
+	// A local run fills the cache.
+	h.waitTerminal(t, h.mustSubmit(t, spec, "").ID)
+
+	// The runs happen off the test goroutine so that a hang fails the test
+	// instead of stalling it; they report with Errorf only.
+	get := func(path string) ([]byte, error) {
+		resp, err := http.Get(h.ts.URL + path)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		return io.ReadAll(resp.Body)
+	}
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for i := 0; i < 20; i++ {
+			resp, err := http.Post(h.ts.URL+"/api/v1/studies?mode=fleet", "application/json", bytes.NewReader(spec))
+			if err != nil {
+				t.Errorf("run %d: submit: %v", i, err)
+				return
+			}
+			var st Status
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusAccepted {
+				t.Errorf("run %d: submit: status %d, %v", i, resp.StatusCode, err)
+				return
+			}
+			stop := make(chan struct{})
+			var pollers sync.WaitGroup
+			for p := 0; p < 3; p++ {
+				pollers.Add(1)
+				go func() {
+					defer pollers.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if _, err := get("/api/v1/studies/" + st.ID); err != nil {
+							t.Errorf("poll status: %v", err)
+							return
+						}
+					}
+				}()
+			}
+			got, err := get("/api/v1/studies/" + st.ID + "/results")
+			close(stop)
+			pollers.Wait()
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("run %d: cache-served fleet stream differs from in-process run (%v)", i, err)
+				return
+			}
+		}
+	}()
+	select {
+	case <-finished:
+	case <-time.After(60 * time.Second):
+		t.Fatal("cache-served fleet studies under concurrent status reads did not finish: deadlock")
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+		h.ts.Close()
+	})
+	// Every fleet run was served from the cache.
+	_, data := h.get(t, "/api/v1/studies")
+	var list []Status
+	if err := json.Unmarshal(data, &list); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range list {
+		if st.Mode == "fleet" && (st.Status != "done" || st.CacheHits != int64(len(wideStudy().Points)) || st.Fleet.Granted != 0) {
+			t.Errorf("fleet study %s: %+v", st.ID, st)
+		}
+	}
+}
+
+// TestFleetConcurrentUploadsStreamInOrder: uploads that complete
+// together must still reach the result stream in grid order, and the
+// stream must not end before the last upload's lines. Every lease is
+// executed first, the uploads then race each other, and a live reader
+// must receive exactly the bytes of an in-process campaign.Run.
+func TestFleetConcurrentUploadsStreamInOrder(t *testing.T) {
+	study := wideStudy()
+	spec, err := campaign.EncodeStudy(study)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := campaign.Frozen(study, campaign.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wideReference(t)
+	h := newTestServer(t, Config{Workers: 1, MaxActive: 1, QueueDepth: 8, CacheBytes: -1})
+	for round := 0; round < 5; round++ {
+		st := h.mustSubmit(t, spec, "?mode=fleet")
+		h.waitRunning(t, st.ID)
+		// Until a lease completes, every grant is a single-point probe:
+		// one lease per point.
+		type upload struct {
+			lease string
+			lines [][]byte
+		}
+		var uploads []upload
+		w := &testWorker{h: h, name: "w", dir: t.TempDir()}
+		for {
+			lr := w.leaseOnce(t, st.ID)
+			if lr.Lease == "" {
+				break
+			}
+			store, err := checkpoint.Open(filepath.Join(w.dir, lr.Lease+".jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := campaign.RunShardRange(context.Background(), frozen, lr.Start, lr.End, store,
+				func(int, []byte) error { return nil }, campaign.WithWorkers(1)); err != nil {
+				t.Fatal(err)
+			}
+			uploads = append(uploads, upload{lr.Lease, store.Records()})
+		}
+		if len(uploads) != len(study.Points) {
+			t.Fatalf("round %d: %d leases for %d points", round, len(uploads), len(study.Points))
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, u := range uploads {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				w.upload(t, st.ID, u.lease, u.lines)
+			}()
+		}
+		close(start)
+		got := h.streamResults(t, st.ID)
+		wg.Wait()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: stream of concurrent uploads differs from in-process run:\n got: %s\nwant: %s", round, got, want)
+		}
+	}
+
+	// The same contract on the ledger alone: by the time done is closed,
+	// the hub holds every line, in grid order.
+	points, err := study.FrozenPoints(campaign.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := checkpoint.Open(filepath.Join(t.TempDir(), "all.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := campaign.RunShardRange(context.Background(), frozen, 0, len(points), store,
+		func(int, []byte) error { return nil }, campaign.WithWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	recs := store.Records()
+	hb := newHub()
+	m := newLeaseMgr("s000001", frozen, points, time.Minute, time.Second, hb)
+	seen := make(chan int)
+	go func() {
+		<-m.done
+		seen <- hb.count()
+	}()
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.complete(time.Now(), "", recs[i:i+1])
+		}()
+	}
+	wg.Wait()
+	if n := <-seen; n != len(points) {
+		t.Fatalf("done signalled with %d of %d lines in the hub", n, len(points))
+	}
+	lines, _, _, _ := hb.snapshot(0)
+	if got := append(bytes.Join(lines, []byte("\n")), '\n'); !bytes.Equal(got, want) {
+		t.Fatalf("ledger stream differs from in-process run:\n got: %s\nwant: %s", got, want)
 	}
 }

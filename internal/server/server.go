@@ -201,9 +201,11 @@ func (st *study) setRunning() {
 	st.mu.Unlock()
 }
 
+// setProgress records the number of results streamed so far. Concurrent
+// ingests may report out of order, so progress only moves forward.
 func (st *study) setProgress(done int) {
 	st.mu.Lock()
-	st.done = done
+	st.done = max(st.done, done)
 	st.mu.Unlock()
 }
 
@@ -224,12 +226,17 @@ func (st *study) setFinished(err error) {
 }
 
 func (st *study) countLookup(hit bool) {
-	st.mu.Lock()
 	if hit {
-		st.hits++
+		st.countLookups(1, 0)
 	} else {
-		st.misses++
+		st.countLookups(0, 1)
 	}
+}
+
+func (st *study) countLookups(hits, misses int64) {
+	st.mu.Lock()
+	st.hits += hits
+	st.misses += misses
 	st.mu.Unlock()
 }
 
@@ -530,8 +537,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	st.id = fmt.Sprintf("s%06d", s.nextID)
 	if mode == "fleet" {
-		st.fleet = newLeaseMgr(st.id, spec, points, s.cfg.LeaseTTL, s.cfg.LeaseTarget)
+		st.fleet = newLeaseMgr(st.id, spec, points, s.cfg.LeaseTTL, s.cfg.LeaseTarget, st.hub)
 	}
+	// The response describes the study as admitted: once queued, a free
+	// slot may start it, or even finish a cache-served one, before the
+	// response is written.
+	admitted := st.snapshot()
 	select {
 	case s.queue <- st:
 		s.studies[st.id] = st
@@ -539,7 +550,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		obs.QueueDepth.Add(1)
 		s.cfg.Logf("study %s (%q): admitted, %d points, seed %d", st.id, spec.Name, len(points), seed)
-		writeJSON(w, http.StatusAccepted, st.snapshot())
+		writeJSON(w, http.StatusAccepted, admitted)
 	default:
 		s.nextID-- // not admitted; reuse the id
 		s.mu.Unlock()
